@@ -37,7 +37,7 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8351", "HTTP listen address")
 		stdio        = flag.Bool("stdio", false, "serve JSON-lines on stdin/stdout instead of HTTP")
 		cacheDir     = flag.String("cache-dir", "", "persist placement solves under this directory (empty = memory-only)")
-		maxInflight  = flag.Int("max-inflight", 0, "max concurrently running requests (0 = GOMAXPROCS)")
+		maxInflight  = flag.Int("max-inflight", 0, "max requests running cold compute (store misses, sims, suites) at once; hits and evals never wait (0 = GOMAXPROCS)")
 		maxQueue     = flag.Int("queue", 64, "max requests waiting for a slot before 503 (negative = no queue)")
 		rate         = flag.Float64("ratelimit", 0, "per-client requests per second (0 = unlimited)")
 		burst        = flag.Int("burst", 8, "per-client burst allowance for -ratelimit")

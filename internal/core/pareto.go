@@ -356,7 +356,7 @@ func (s *Solver) solveParetoC(ctx context.Context, c int, spec ParetoSpec) ([]Fr
 		computed, computedEvals, computeErr = s.solveParetoUncached(ctx, c, spec)
 	}
 
-	meta, _, err := s.Store.GetOrCompute(base+"frontier=meta\n", func() (StoredPlacement, error) {
+	meta, _, err := s.Store.GetOrCompute(ctx, base+"frontier=meta\n", func() (StoredPlacement, error) {
 		once.Do(run)
 		if computeErr != nil {
 			return StoredPlacement{}, computeErr
@@ -376,7 +376,7 @@ func (s *Solver) solveParetoC(ctx context.Context, c int, spec ParetoSpec) ([]Fr
 	entries := make([]FrontierEntry, meta.Count)
 	for i := 0; i < meta.Count; i++ {
 		i := i
-		sp, _, err := s.Store.GetOrCompute(base+fmt.Sprintf("frontier=entry:%d\n", i), func() (StoredPlacement, error) {
+		sp, _, err := s.Store.GetOrCompute(ctx, base+fmt.Sprintf("frontier=entry:%d\n", i), func() (StoredPlacement, error) {
 			once.Do(run)
 			if computeErr != nil {
 				return StoredPlacement{}, computeErr

@@ -134,7 +134,7 @@ func (s *Solver) SolveRow(ctx context.Context, c int, algo Algorithm) (RowSoluti
 	if s.Store == nil {
 		return s.solveRowUncached(ctx, c, algo)
 	}
-	sp, _, err := s.Store.GetOrCompute(s.rowKey(c, algo), func() (StoredPlacement, error) {
+	sp, _, err := s.Store.GetOrCompute(ctx, s.rowKey(c, algo), func() (StoredPlacement, error) {
 		sol, err := s.solveRowUncached(ctx, c, algo)
 		if err != nil {
 			return StoredPlacement{}, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"explink/internal/model"
+	"explink/internal/runctl"
 	"explink/internal/topo"
 )
 
@@ -182,45 +184,56 @@ func (st *PlacementStore) Len() int {
 // result). A failed compute caches nothing — the error propagates to every
 // waiter and a later call retries, so a cancelled run never poisons the
 // store. The bool reports whether the result came from cache.
-func (st *PlacementStore) GetOrCompute(key string, compute func() (StoredPlacement, error)) (StoredPlacement, bool, error) {
+//
+// Admission: a memory hit, a disk hit and a wait on another caller's
+// in-flight compute never call runctl.Admit. Only a miss does, after the
+// disk probe and *before* the caller registers as the key's in-flight owner;
+// a refused admission is returned as the error. Invariant: an in-flight
+// owner always holds its admission. Admitting inside compute instead would
+// let an owner of key K sit unadmitted in the gate queue while a slot holder
+// that needs K (a dcsa simulation solving the same design) waits on that
+// owner — with one slot, a deadlock.
+func (st *PlacementStore) GetOrCompute(ctx context.Context, key string, compute func() (StoredPlacement, error)) (StoredPlacement, bool, error) {
 	addr := keyAddress(key)
 	st.mu.Lock()
-	for {
+	for admitted := false; ; {
 		if sp, ok := st.mem[addr]; ok {
 			st.counters.Hits++
 			st.mu.Unlock()
 			return sp, true, nil
 		}
-		fl, ok := st.inflight[addr]
-		if !ok {
+		if fl, ok := st.inflight[addr]; ok {
+			// Someone is solving this key right now: wait, then re-check. If
+			// the compute failed nothing was cached and we take over.
+			st.mu.Unlock()
+			<-fl
+			st.mu.Lock()
+			continue
+		}
+		if admitted {
 			break
 		}
-		// Someone is solving this key right now: wait, then re-check. If the
-		// compute failed nothing was cached and we take over.
+		// Probe the disk and wait for admission outside the mutex: a slow
+		// disk (or N workers hammering one shared -cache-dir over NFS) or a
+		// full gate must never stall concurrent memory hits. Concurrent
+		// probes of one key are harmless reads.
 		st.mu.Unlock()
-		<-fl
+		if sp, ok := st.loadDisk(addr, key); ok {
+			st.mu.Lock()
+			st.mem[addr] = sp
+			st.counters.Hits++
+			st.counters.DiskHits++
+			st.mu.Unlock()
+			return sp, true, nil
+		}
+		if err := runctl.Admit(ctx); err != nil {
+			return StoredPlacement{}, false, err
+		}
+		admitted = true
 		st.mu.Lock()
 	}
-	// Register the in-flight marker before touching the disk, then do every
-	// read/write outside the mutex: a slow disk (or N workers hammering one
-	// shared -cache-dir over NFS) must stall only callers of this key, never
-	// every concurrent memory hit. Same-key callers wait on fl as usual.
 	fl := make(chan struct{})
 	st.inflight[addr] = fl
-	st.mu.Unlock()
-
-	if sp, ok := st.loadDisk(addr, key); ok {
-		st.mu.Lock()
-		st.mem[addr] = sp
-		delete(st.inflight, addr)
-		st.counters.Hits++
-		st.counters.DiskHits++
-		close(fl)
-		st.mu.Unlock()
-		return sp, true, nil
-	}
-
-	st.mu.Lock()
 	st.counters.Solves++
 	st.mu.Unlock()
 

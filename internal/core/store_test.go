@@ -493,7 +493,7 @@ func TestStoreDiskProbeDoesNotBlockMemoryHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := StoredPlacement{Algo: DCSA, C: 1, N: 4, Eval: model.Eval{}, Evals: 1}
-	if _, _, err := st.GetOrCompute("hot", func() (StoredPlacement, error) { return seed, nil }); err != nil {
+	if _, _, err := st.GetOrCompute(context.Background(), "hot", func() (StoredPlacement, error) { return seed, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -502,7 +502,7 @@ func TestStoreDiskProbeDoesNotBlockMemoryHits(t *testing.T) {
 	slowDone := make(chan struct{})
 	go func() {
 		defer close(slowDone)
-		st.GetOrCompute("cold", func() (StoredPlacement, error) {
+		st.GetOrCompute(context.Background(), "cold", func() (StoredPlacement, error) {
 			close(enterSlow)
 			<-releaseSlow
 			return seed, nil
@@ -514,7 +514,7 @@ func TestStoreDiskProbeDoesNotBlockMemoryHits(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, cached, err := st.GetOrCompute("hot", nil); err != nil || !cached {
+		if _, cached, err := st.GetOrCompute(context.Background(), "hot", nil); err != nil || !cached {
 			t.Errorf("hot hit failed: cached=%v err=%v", cached, err)
 		}
 	}()

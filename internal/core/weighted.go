@@ -141,7 +141,7 @@ func (s *Solver) solveLine(ctx context.Context, c int, algo Algorithm, w [][]flo
 	if s.Store == nil {
 		return s.solveLineUncached(ctx, c, algo, w, salt)
 	}
-	sp, _, err := s.Store.GetOrCompute(s.lineKey(c, algo, w, salt), func() (StoredPlacement, error) {
+	sp, _, err := s.Store.GetOrCompute(ctx, s.lineKey(c, algo, w, salt), func() (StoredPlacement, error) {
 		row, evals, err := s.solveLineUncached(ctx, c, algo, w, salt)
 		if err != nil {
 			return StoredPlacement{}, err

@@ -20,8 +20,9 @@ var (
 	ErrRateLimited = errors.New("client rate limited")
 )
 
-// gate is the bounded admission controller in front of every unit of daemon
-// work: at most maxInflight requests run at once, at most maxQueue more wait
+// gate is the bounded admission controller in front of the daemon's cold
+// compute (acquired lazily through runctl.Admit; see Server.begin): at most
+// maxInflight requests compute at once, at most maxQueue more wait
 // for a slot, and everything beyond that is rejected immediately with
 // ErrOverloaded so overload degrades into fast 503s instead of an unbounded
 // goroutine pile-up. BeginDrain flips the gate closed: waiting and future

@@ -3,9 +3,13 @@
 // simulator and the experiment suite over HTTP/JSON and JSON-lines-over-stdio.
 //
 // Every request funnels into the same internal/api request structs the CLI
-// tools use, runs behind one bounded admission gate, and answers hot
-// placement queries from the shared core.PlacementStore (concurrent cold
-// requests for the same placement are single-flighted into one solve).
+// tools use and answers hot placement queries from the shared
+// core.PlacementStore (concurrent cold requests for the same placement are
+// single-flighted into one solve). Admission is cost-aware: one bounded gate
+// limits cold compute only. A request takes a slot the first time it does
+// real work — a store miss, a simulation or an experiment suite — and keeps
+// that one slot until it finishes; store hits, single-flight waits and evals
+// never wait behind a running simulation.
 // Shutdown follows the runctl taxonomy: BeginDrain stops admitting (new work
 // gets 503), cancels in-flight contexts so long runs return partial results
 // with their Truncated reasons, and Drain waits for the stragglers.
@@ -42,9 +46,11 @@ type Config struct {
 	// Store is the shared placement cache; nil gets a fresh memory-only
 	// store, so single-flight deduplication always works.
 	Store *core.PlacementStore
-	// MaxInflight bounds concurrently running requests (0 = GOMAXPROCS) and
-	// MaxQueue bounds how many more may wait for a slot (0 = 64; negative =
-	// no queue). Everything beyond the queue is rejected with 503.
+	// MaxInflight bounds how many requests run cold compute at once (store
+	// misses, simulations, suites; 0 = GOMAXPROCS) and MaxQueue bounds how
+	// many more may wait for a slot (0 = 64; negative = no queue). Everything
+	// beyond the queue is rejected with 503. Cache hits and evals take no
+	// slot and are never queued.
 	MaxInflight int
 	MaxQueue    int
 	// RatePerSec and Burst set the per-client token-bucket rate limit;
@@ -179,10 +185,11 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // behaviour: two concurrent cold requests for one placement ⇒ Solves == 1).
 func (s *Server) Store() *core.PlacementStore { return s.store }
 
-// BeginDrain starts shutdown: the gate stops admitting (new requests get
-// 503 "draining") and every in-flight request context is cancelled with a
-// cause matching runctl.ErrCancelled, so long solves and sweeps return
-// partial results carrying their Truncated reasons. Idempotent.
+// BeginDrain starts shutdown: new requests, warm or cold, get 503
+// "draining", the gate refuses queued and future slots, and every in-flight
+// request context is cancelled with a cause matching runctl.ErrCancelled, so
+// long solves and sweeps return partial results carrying their Truncated
+// reasons. Idempotent.
 func (s *Server) BeginDrain() {
 	s.gate.beginDrain()
 	s.cancelBase(fmt.Errorf("serve: draining: %w", runctl.ErrCancelled))
@@ -205,31 +212,21 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// handle is the one HTTP entry path: rate limit, admission gate, drain-aware
-// context, dispatch by op, metrics and events on the way out.
+// handle is the one HTTP entry path: rate limit, then the shared admission
+// path (begin), dispatch by op, and the deferred bookkeeping on the way out.
 func (s *Server) handle(w http.ResponseWriter, r *http.Request, op string) {
 	s.met.request(op)
 	if !s.lim.allow(clientKey(r)) {
-		s.reject(w, op, ErrRateLimited)
+		s.met.reject("rate-limited")
+		s.writeError(w, op, ErrRateLimited)
 		return
 	}
-	release, err := s.gate.acquire(r.Context())
+	ctx, done, err := s.begin(r.Context(), op)
 	if err != nil {
-		s.reject(w, op, err)
+		s.writeError(w, op, err)
 		return
 	}
-	s.wg.Add(1)
-	ctx, cancel := context.WithCancelCause(r.Context())
-	stop := context.AfterFunc(s.base, func() { cancel(context.Cause(s.base)) })
-	start := time.Now()
-	defer func() {
-		stop()
-		cancel(nil)
-		release()
-		s.met.observe(op, time.Since(start))
-		s.ev.Emit("request.finish", map[string]any{"op": op, "seconds": time.Since(start).Seconds()})
-		s.wg.Done()
-	}()
+	defer done()
 
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	switch op {
@@ -244,6 +241,44 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, op string) {
 	case "pareto":
 		s.handlePareto(ctx, w, r)
 	}
+}
+
+// begin is the one admission path shared by HTTP and stdio. It refuses work
+// once draining, tracks the request for Drain, links its context to the
+// drain cancellation, and attaches a lazy gate admission (runctl.Admit):
+// the request takes a slot only when it first does cold compute — a store
+// miss, a simulation or a suite — and keeps that one slot until done. Store
+// hits, single-flight waits and evals never touch the gate. The caller must
+// call done exactly once when the request has finished.
+func (s *Server) begin(parent context.Context, op string) (ctx context.Context, done func(), err error) {
+	if s.gate.draining() {
+		s.met.reject("draining")
+		return nil, nil, ErrDraining
+	}
+	s.wg.Add(1)
+	ctx, cancel := context.WithCancelCause(parent)
+	stop := context.AfterFunc(s.base, func() { cancel(context.Cause(s.base)) })
+	ctx, adm := runctl.WithAdmission(ctx, func(ctx context.Context) (func(), error) {
+		t0 := time.Now()
+		release, err := s.gate.acquire(ctx)
+		s.met.waited(op, time.Since(t0))
+		if err != nil {
+			s.met.reject(reasonOf(err))
+		}
+		return release, err
+	})
+	start := time.Now()
+	return ctx, func() {
+		stop()
+		cancel(nil)
+		if !adm.Release() {
+			s.met.bypassed(op)
+		}
+		d := time.Since(start)
+		s.met.observe(op, d)
+		s.ev.Emit("request.finish", map[string]any{"op": op, "seconds": d.Seconds()})
+		s.wg.Done()
+	}, nil
 }
 
 func (s *Server) handlePareto(ctx context.Context, w http.ResponseWriter, r *http.Request) {
@@ -334,9 +369,14 @@ func (s *Server) handleSim(ctx context.Context, w http.ResponseWriter, r *http.R
 }
 
 // runSim executes a (normalized, validated) SimRequest: one operating point,
-// a replica group, or a saturation sweep. Shared by HTTP and stdio.
+// a replica group, or a saturation sweep. Shared by HTTP and stdio. A
+// simulation is cold compute, so it takes the request's admission up front;
+// a dcsa topology solved on the way shares that slot.
 func (s *Server) runSim(ctx context.Context, req *api.SimRequest) (api.SimResponse, error) {
 	var resp api.SimResponse
+	if err := runctl.Admit(ctx); err != nil {
+		return resp, err
+	}
 	cfg, err := req.Config(ctx, s.store)
 	if err != nil {
 		return resp, err
@@ -385,7 +425,7 @@ func (s *Server) handleExp(ctx context.Context, w http.ResponseWriter, r *http.R
 		s.writeError(w, "exp", err)
 		return
 	}
-	sel, err := api.SelectExperiments(req.Experiments)
+	sel, err := selectAndAdmit(ctx, &req)
 	if err != nil {
 		s.writeError(w, "exp", err)
 		return
@@ -404,6 +444,17 @@ func (s *Server) handleExp(ctx context.Context, w http.ResponseWriter, r *http.R
 		return
 	}
 	ev.Emit("suite.result", map[string]any{"failed": res.Failed, "result": json.RawMessage(raw)})
+}
+
+// selectAndAdmit resolves an ExpRequest's experiments and takes the request's
+// admission: a suite is cold compute, and over HTTP a refusal must surface as
+// a 503 before the stream commits its 200. Shared by HTTP and stdio.
+func selectAndAdmit(ctx context.Context, req *api.ExpRequest) ([]exp.Experiment, error) {
+	sel, err := api.SelectExperiments(req.Experiments)
+	if err != nil {
+		return nil, err
+	}
+	return sel, runctl.Admit(ctx)
 }
 
 // runExp executes a (normalized, validated) ExpRequest over the selected
@@ -429,13 +480,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		"queued":   s.gate.queued(),
 		"cache":    s.store.Counters(),
 	})
-}
-
-// reject writes an admission failure (draining/overloaded/rate-limited or a
-// client disconnect while queued) and counts it.
-func (s *Server) reject(w http.ResponseWriter, op string, err error) {
-	s.met.reject(reasonOf(err))
-	s.writeError(w, op, err)
 }
 
 // writeError maps err onto its HTTP status (serve admission sentinels first,

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"explink/internal/api"
 	"explink/internal/runctl"
@@ -19,8 +18,10 @@ import (
 // external timing engine (BookSim-style main-engine + service split) drives:
 // one request object per line in, one response object per line out, matched
 // by the client-chosen id. Requests dispatch concurrently through the same
-// admission gate as HTTP, so response order is not request order — clients
-// correlate by id.
+// admission path as HTTP (Server.begin): only cold compute waits for a gate
+// slot, so a cache hit or an eval answers while a simulation holds every
+// slot. Response order is therefore not request order — clients correlate
+// by id.
 //
 //	→ {"id":1,"op":"solve","req":{"n":8,"c":5}}
 //	← {"id":1,"ok":true,"result":{"best":{...},"all":[...]}}
@@ -148,41 +149,33 @@ func (s *Server) ServeStdio(ctx context.Context, r io.Reader, w io.Writer) error
 	}
 }
 
-// stdioDispatch runs one gated op and builds its response line. It mirrors
-// the HTTP path: same admission gate, same drain-aware context, same
-// request types, same error taxonomy — only the framing differs.
+// stdioDispatch runs one op and builds its response line. It mirrors the
+// HTTP path: same admission path (begin), same drain-aware context, same
+// request types, same error taxonomy, metrics under the op's own label —
+// only the framing differs.
 func (s *Server) stdioDispatch(ctx context.Context, req stdioRequest) stdioResponse {
-	s.met.request("stdio")
-	release, err := s.gate.acquire(ctx)
+	op := req.Op
+	s.met.request(op)
+	ctx, done, err := s.begin(ctx, op)
 	if err != nil {
-		s.met.reject(reasonOf(err))
+		s.met.failure(op)
 		return stdioError(req.ID, err)
 	}
-	s.wg.Add(1)
-	rctx, cancel := context.WithCancelCause(ctx)
-	stop := context.AfterFunc(s.base, func() { cancel(context.Cause(s.base)) })
-	start := time.Now()
-	defer func() {
-		stop()
-		cancel(nil)
-		release()
-		s.met.observe("stdio", time.Since(start))
-		s.wg.Done()
-	}()
+	defer done()
 
-	result, err := s.stdioRun(rctx, req)
+	result, err := s.stdioRun(ctx, req)
 	if result == nil {
-		s.met.failure("stdio")
+		s.met.failure(op)
 		return stdioError(req.ID, err)
 	}
 	raw, _, merr := stats.MarshalSanitized(result)
 	if merr != nil {
-		s.met.failure("stdio")
+		s.met.failure(op)
 		return stdioError(req.ID, merr)
 	}
 	resp := stdioResponse{ID: req.ID, OK: err == nil, Result: raw}
 	if err != nil {
-		s.met.failure("stdio")
+		s.met.failure(op)
 		resp.Error = api.ErrorBodyOf(err)
 	}
 	return resp
@@ -245,7 +238,7 @@ func (s *Server) stdioRun(ctx context.Context, req stdioRequest) (any, error) {
 		if err := xr.Validate(); err != nil {
 			return nil, err
 		}
-		sel, err := api.SelectExperiments(xr.Experiments)
+		sel, err := selectAndAdmit(ctx, &xr)
 		if err != nil {
 			return nil, err
 		}
